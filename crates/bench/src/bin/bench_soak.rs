@@ -725,10 +725,18 @@ fn main() {
     let hot_p99 = hot_srv.quantile(0.99);
     let cold_p99 = cold_srv.quantile(0.99);
     let dup_p99 = dup_srv.quantile(0.99);
-    let requests_total = fleet_snap.counter_family_total("serve_requests_total");
-    let pool_hits = fleet_snap.counter_family_total("router_pool_hits");
+    // Fleet-wide service counters: each family summed over its node
+    // labels (`forwards` lives only under node="router").
+    let total = |name: &str| fleet_snap.counter_family_total(name);
+    let requests_total = total("serve_requests_total");
+    let pool_hits = total("router_pool_hits");
+    let jobs_coalesced = total("jobs_coalesced");
+    let jobs_rejected = total("jobs_rejected");
+    let forwards = total("forwards");
+    let fetches = total("fetches");
+    let store_evictions = total("store_evictions");
+    let suppressed_hits = total("suppressed_hits");
 
-    let stats = seed_client.stats().expect("final fleet stats");
     match seed_client.policy().expect("final policy read") {
         Response::Policy { rules, .. } => assert_eq!(rules, 1, "policy must still be live"),
         other => panic!("policy read failed: {other:?}"),
@@ -766,14 +774,9 @@ fn main() {
         error_rate
     );
     println!(
-        "fleet counters: coalesced {}, shed {}, forwards {}, fetches {}, \
-         evictions {}, suppressed_hits {}, requests {requests_total}, pool hits {pool_hits}",
-        stats.jobs_coalesced,
-        stats.jobs_rejected,
-        stats.forwards,
-        stats.fetches,
-        stats.store_evictions,
-        stats.suppressed_hits
+        "fleet counters: coalesced {jobs_coalesced}, shed {jobs_rejected}, \
+         forwards {forwards}, fetches {fetches}, evictions {store_evictions}, \
+         suppressed_hits {suppressed_hits}, requests {requests_total}, pool hits {pool_hits}"
     );
     println!(
         "server-side p99 (from METRICS): analyze {hot_p99}us over {} samples, \
@@ -803,8 +806,9 @@ fn main() {
          \"ops_per_sec\": {:.1},\n  \"error_rate\": {:.6},\n  \"divergences\": {},\n  \
          \"suppressed_verdict_races\": {},\n  \"hot_p99_micros\": {},\n  \
          \"cold_p99_micros\": {},\n  \"dup_p99_micros\": {},\n  \
-         \"jobs_coalesced\": {},\n  \"jobs_rejected\": {},\n  \"forwards\": {},\n  \
-         \"fetches\": {},\n  \"store_evictions\": {},\n  \"suppressed_hits\": {},\n  \
+         \"jobs_coalesced\": {jobs_coalesced},\n  \"jobs_rejected\": {jobs_rejected},\n  \
+         \"forwards\": {forwards},\n  \"fetches\": {fetches},\n  \
+         \"store_evictions\": {store_evictions},\n  \"suppressed_hits\": {suppressed_hits},\n  \
          \"serve_requests_total\": {requests_total},\n  \"router_pool_hits\": {pool_hits},\n  \
          \"classes\": {{\n{class_json}  }}\n}}\n",
         args.seed,
@@ -819,12 +823,6 @@ fn main() {
         hot_p99,
         cold_p99,
         dup_p99,
-        stats.jobs_coalesced,
-        stats.jobs_rejected,
-        stats.forwards,
-        stats.fetches,
-        stats.store_evictions,
-        stats.suppressed_hits,
     );
     std::fs::write(&args.out, &json).expect("write result JSON");
     println!("wrote {}", args.out.display());
@@ -858,7 +856,7 @@ fn main() {
     if suppressed_seen == 0 {
         failures.push("no suppressed verdict observed after the policy flip".into());
     }
-    if stats.suppressed_hits == 0 {
+    if suppressed_hits == 0 {
         failures.push("fleet suppressed_hits counter stayed 0".into());
     }
     if let Some(limit_ms) = args.p99_limit_ms {

@@ -35,7 +35,9 @@ mod span;
 pub use hist::{LogHistogram, HISTOGRAM_BUCKETS};
 pub use journal::{Event, Journal, DEFAULT_JOURNAL_CAP};
 pub use registry::{Counter, Gauge, Hist, Registry, DEFAULT_SHARDS};
-pub use snapshot::{metric_key, sanitize_label, ParseError, Snapshot, EXPOSITION_HEADER};
+pub use snapshot::{
+    family_total, metric_key, sanitize_label, ParseError, Snapshot, EXPOSITION_HEADER,
+};
 pub use span::{Span, Stage, StageSpans};
 
 use std::sync::OnceLock;

@@ -84,6 +84,17 @@ fn split_key(key: &str) -> (&str, Vec<(String, String)>) {
     (&key[..brace], labels)
 }
 
+/// Sums every entry of `metrics` (a snapshot's `counters` or `gauges`)
+/// whose key is `name`, bare or with any label set — the cross-label
+/// total of one metric family, e.g. a fleet-wide sum over `node` labels.
+pub fn family_total(metrics: &BTreeMap<String, u64>, name: &str) -> u64 {
+    metrics
+        .iter()
+        .filter(|(k, _)| *k == name || k.starts_with(name) && k[name.len()..].starts_with('{'))
+        .map(|(_, v)| v)
+        .sum()
+}
+
 /// An error from [`Snapshot::parse`]: the offending line number
 /// (1-based) and a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,14 +181,9 @@ impl Snapshot {
         self.hists.get(&metric_key(name, labels))
     }
 
-    /// Sums every counter whose key starts with `name` (bare or with
-    /// any label set) — the cross-label total of one metric family.
+    /// [`family_total`] over the counters.
     pub fn counter_family_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| *k == name || k.starts_with(name) && k[name.len()..].starts_with('{'))
-            .map(|(_, v)| v)
-            .sum()
+        family_total(&self.counters, name)
     }
 
     /// Renders the `CMET v1` text exposition: the header, then one
@@ -374,6 +380,14 @@ mod tests {
             .insert(metric_key("requests", &[("verb", "analyze")]), 8);
         s.counters.insert("requests_other".to_string(), 999);
         assert_eq!(s.counter_family_total("requests"), 50);
+        s.gauges
+            .insert(metric_key("store_bytes", &[("node", "1")]), 7);
+        assert_eq!(family_total(&s.gauges, "store_bytes"), 65536 + 7);
+        assert_eq!(
+            family_total(&s.gauges, "store"),
+            0,
+            "prefix is not a family"
+        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! clean-fleet spawn  --nodes N --store-root <dir> [--addr HOST:PORT]
 //!                    [--base-port P] [--serve-bin PATH] [--max-bytes N]
 //!                    [--replication N]
-//! clean-fleet status <addr>
 //! clean-fleet metrics <addr>
 //! ```
 //!
@@ -19,7 +18,6 @@
 //! them. A SHUTDOWN frame sent to the router drains the whole fleet.
 
 use clean_serve::client::Client;
-use clean_serve::protocol::StatsReply;
 use clean_serve::router::{Router, RouterConfig};
 use std::net::TcpStream;
 use std::process::{Child, Command, ExitCode};
@@ -41,8 +39,6 @@ USAGE:
       Launch N clean-serve children on ports P..P+N (default base 7601),
       each with store <dir>/node-<i> and every sibling as a FETCH peer,
       then route to them. A SHUTDOWN frame drains the whole fleet.
-  clean-fleet status <addr>
-      Print aggregated fleet counters from a router address.
   clean-fleet metrics <addr>
       Print the fleet-wide `CMET v1` metrics merge from a router
       address: every backend's counters, gauges, and histograms under
@@ -59,7 +55,6 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("route") => cmd_route(&args[1..]),
         Some("spawn") => cmd_spawn(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("--help" | "-h") | None => {
             print!("{USAGE}");
@@ -236,35 +231,6 @@ fn cmd_spawn(args: &[String]) -> Result<ExitCode, String> {
         let _ = child.wait();
     }
     result
-}
-
-fn print_stats(s: &StatsReply) {
-    println!("submits            {}", s.submits);
-    println!("submit_dedup_hits  {}", s.submit_dedup_hits);
-    println!("analyzes           {}", s.analyzes);
-    println!("cache_hits         {}", s.cache_hits);
-    println!("cache_misses       {}", s.cache_misses);
-    println!("jobs_completed     {}", s.jobs_completed);
-    println!("jobs_rejected      {}", s.jobs_rejected);
-    println!("jobs_coalesced     {}", s.jobs_coalesced);
-    println!("store_traces       {}", s.store_traces);
-    println!("store_bytes        {}", s.store_bytes);
-    println!("store_evictions    {}", s.store_evictions);
-    println!("forwards           {}", s.forwards);
-    println!("fetches            {}", s.fetches);
-    println!("cache_persist_hits {}", s.cache_persist_hits);
-    println!("suppressed_hits    {}", s.suppressed_hits);
-}
-
-fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
-    let [addr] = args else {
-        return Err("usage: clean-fleet status <addr>".into());
-    };
-    let mut client =
-        Client::connect(addr.as_str()).map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("request failed: {e}"))?;
-    print_stats(&stats);
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {

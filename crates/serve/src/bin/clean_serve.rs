@@ -9,7 +9,6 @@
 //! clean-serve analyze <addr> <digest> [--engine clean|fasttrack|vcfull|tsan]
 //!                     [--no-wait] [--retries N]
 //! clean-serve status  <addr> <job>
-//! clean-serve stats   <addr>
 //! clean-serve metrics <addr>
 //! clean-serve suppress list <addr>
 //! clean-serve suppress add <addr> <rule...>
@@ -24,7 +23,7 @@
 
 use clean_serve::client::Client;
 use clean_serve::policy::SuppressionPolicy;
-use clean_serve::protocol::{Response, StatsReply};
+use clean_serve::protocol::Response;
 use clean_serve::server::{Server, ServerConfig};
 use clean_trace::{EngineKind, TraceDigest};
 use std::process::ExitCode;
@@ -56,8 +55,6 @@ USAGE:
       requests up to --retries times (default 10).
   clean-serve status <addr> <job>
       Poll a job id from a --no-wait analyze.
-  clean-serve stats <addr>
-      Print the service counters.
   clean-serve metrics <addr>
       Print the `CMET v1` metrics exposition: counters, gauges,
       latency histograms, and the recent-event journal. Against a
@@ -94,7 +91,6 @@ fn main() -> ExitCode {
         Some("submit") => cmd_submit(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("status") => cmd_status(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("suppress") => cmd_suppress(&args[1..]),
         Some("shutdown") => cmd_shutdown(&args[1..]),
@@ -311,34 +307,6 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
     let job: u64 = parse_num(job, "job id")?;
     let mut client = connect(addr)?;
     report_verdict(client.status(job).map_err(rpc_err)?)
-}
-
-fn print_stats(s: &StatsReply) {
-    println!("submits            {}", s.submits);
-    println!("submit_dedup_hits  {}", s.submit_dedup_hits);
-    println!("analyzes           {}", s.analyzes);
-    println!("cache_hits         {}", s.cache_hits);
-    println!("cache_misses       {}", s.cache_misses);
-    println!("jobs_completed     {}", s.jobs_completed);
-    println!("jobs_rejected      {}", s.jobs_rejected);
-    println!("jobs_coalesced     {}", s.jobs_coalesced);
-    println!("store_traces       {}", s.store_traces);
-    println!("store_bytes        {}", s.store_bytes);
-    println!("store_evictions    {}", s.store_evictions);
-    println!("forwards           {}", s.forwards);
-    println!("fetches            {}", s.fetches);
-    println!("cache_persist_hits {}", s.cache_persist_hits);
-    println!("suppressed_hits    {}", s.suppressed_hits);
-}
-
-fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
-    let [addr] = args else {
-        return Err("usage: clean-serve stats <addr>".into());
-    };
-    let mut client = connect(addr)?;
-    let stats = client.stats().map_err(rpc_err)?;
-    print_stats(&stats);
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {

@@ -7,7 +7,7 @@
 //! [`Client::analyze_with_retry`] layers the obvious sleep-and-retry
 //! loop on top for callers that just want a verdict.
 
-use crate::protocol::{Request, Response, StatsReply};
+use crate::protocol::{Request, Response};
 use clean_trace::{EngineKind, TraceDigest};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -149,21 +149,6 @@ impl Client {
         self.call(&Request::Policy {
             set: Some(text.into()),
         })
-    }
-
-    /// Fetches the service counters.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or a non-STATS reply.
-    pub fn stats(&mut self) -> io::Result<StatsReply> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected STATS reply, got {other:?}"),
-            )),
-        }
     }
 
     /// Fetches the `CMET v1` metrics exposition. Against a router this

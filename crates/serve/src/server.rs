@@ -39,8 +39,7 @@ use crate::cache::{Verdict, VerdictCache, VerdictKey};
 use crate::client::Client;
 use crate::policy::{SuppressionPolicy, POLICY_FILE};
 use crate::protocol::{
-    error_code, read_frame_body, read_frame_header, Request, Response, StatsReply, WireRace,
-    OP_SUBMIT,
+    error_code, read_frame_body, read_frame_header, Request, Response, WireRace, OP_SUBMIT,
 };
 use crate::queue::{Admission, JobQueue, JobState};
 use crate::store::{StoreError, TraceStore};
@@ -62,6 +61,13 @@ use std::time::{Duration, Instant};
 /// File name of the durable verdict log, under the store directory.
 pub const VERDICT_LOG: &str = "verdicts.log";
 
+/// v1 traces at or above this many bytes replay via the streaming
+/// work-stealing engine instead of being read fully into memory.
+const STREAM_BYTES: u64 = 8 << 20;
+/// v2 traces at or above this many events (read from the chunk table
+/// in O(footer), no scan) replay via the streaming engine.
+const STREAM_EVENTS: u64 = 2_000_000;
+
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -81,14 +87,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Shards for the replay engines.
     pub shards: usize,
-    /// Traces at or above this many bytes replay via the streaming
-    /// work-stealing engine instead of being read fully into memory.
-    /// Only consulted for v1 traces — v2 traces carry their exact event
-    /// count in the chunk table and use `stream_events` instead.
-    pub stream_threshold: u64,
-    /// Traces at or above this many *events* (read from the v2 chunk
-    /// table in O(footer), no scan) replay via the streaming engine.
-    pub stream_events: u64,
     /// Addresses of peer `clean-serve` nodes to FETCH missing digests
     /// from before failing an ANALYZE. Empty = standalone node.
     pub peers: Vec<String>,
@@ -120,8 +118,8 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Defaults: loopback ephemeral port, 1 GiB store, 64-job queue,
     /// 8 jobs per client, 100 ms retry hint, workers/shards from
-    /// available parallelism, 8 MiB streaming threshold, no peers,
-    /// 32 acceptors, 30 s I/O timeout, durable verdicts.
+    /// available parallelism, no peers, 32 acceptors, 30 s I/O timeout,
+    /// durable verdicts.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -135,8 +133,6 @@ impl ServerConfig {
             retry_millis: 100,
             workers: cores.clamp(1, 8),
             shards: cores.clamp(1, 8),
-            stream_threshold: 8 << 20,
-            stream_events: 2_000_000,
             peers: Vec::new(),
             acceptors: 32,
             io_timeout_millis: 30_000,
@@ -185,12 +181,6 @@ impl ServerConfig {
     /// Sets the replay shard count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the event-count streaming threshold (v2 traces).
-    pub fn stream_events(mut self, events: u64) -> Self {
-        self.stream_events = events;
         self
     }
 
@@ -256,16 +246,23 @@ impl ActivePolicy {
 }
 
 /// Counters that live outside store and queue, backed by the metrics
-/// registry — the STATS wire reply and the METRICS exposition read the
-/// same cells.
+/// registry the METRICS exposition renders.
 #[derive(Debug)]
 struct ServiceCounters {
+    /// SUBMITs accepted (valid traces, new or deduplicated).
     submits: Counter,
+    /// SUBMITs answered by an already-stored identical trace.
     submit_dedup_hits: Counter,
+    /// ANALYZE requests received.
     analyzes: Counter,
+    /// ANALYZEs answered from the verdict cache.
     cache_hits: Counter,
+    /// ANALYZEs that had to run (or join) a replay job.
     cache_misses: Counter,
+    /// Traces pulled from a peer because a digest was missing locally.
     fetches: Counter,
+    /// Races demoted to warnings by a `CSUP` rule, once per race per
+    /// served verdict.
     suppressed_hits: Counter,
 }
 
@@ -339,8 +336,6 @@ struct Shared {
     /// Where the policy persists across restarts.
     policy_path: PathBuf,
     shards: usize,
-    stream_threshold: u64,
-    stream_events: u64,
     peers: Vec<String>,
     acceptors: usize,
     io_timeout: Option<Duration>,
@@ -361,32 +356,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn stats_reply(&self) -> StatsReply {
-        let store = self.store.stats();
-        let (jobs_completed, jobs_rejected, jobs_coalesced) = self.queue.counters();
-        StatsReply {
-            submits: self.counters.submits.value(),
-            submit_dedup_hits: self.counters.submit_dedup_hits.value(),
-            analyzes: self.counters.analyzes.value(),
-            cache_hits: self.counters.cache_hits.value(),
-            cache_misses: self.counters.cache_misses.value(),
-            jobs_completed,
-            jobs_rejected,
-            jobs_coalesced,
-            store_traces: store.traces,
-            store_bytes: store.bytes,
-            store_evictions: store.evictions,
-            // A plain daemon forwards nothing; the router owns this one.
-            forwards: 0,
-            fetches: self.counters.fetches.value(),
-            cache_persist_hits: self.cache.persist_hits(),
-            suppressed_hits: self.counters.suppressed_hits.value(),
-        }
-    }
-
     /// Renders the `CMET v1` exposition: the registry snapshot, plus
     /// the store/queue/cache counters (which own their cells elsewhere)
-    /// overlaid under their STATS names, plus the journal as comments.
+    /// overlaid under their own names, plus the journal as comments.
     fn metrics_text(&self) -> String {
         let mut snap = self.obs.registry.snapshot();
         let store = self.store.stats();
@@ -425,8 +397,8 @@ impl Shared {
         let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         let table = read_table(&path).ok().flatten();
         let stream = match &table {
-            Some(table) => table.total_events >= self.stream_events,
-            None => bytes >= self.stream_threshold,
+            Some(table) => table.total_events >= STREAM_EVENTS,
+            None => bytes >= STREAM_BYTES,
         };
         let verdict = if stream {
             let workers = self.shards.clamp(1, 4);
@@ -579,8 +551,6 @@ impl Server {
             counters,
             obs,
             shards: config.shards,
-            stream_threshold: config.stream_threshold,
-            stream_events: config.stream_events,
             peers: config.peers.clone(),
             acceptors: acceptor_count,
             io_timeout: (config.io_timeout_millis > 0)
@@ -670,7 +640,6 @@ pub(crate) fn verb_of(request: &Request) -> &'static str {
         Request::Submit { .. } => "submit",
         Request::Analyze { .. } => "analyze",
         Request::Status { .. } => "status",
-        Request::Stats => "stats",
         Request::Shutdown => "shutdown",
         Request::Fetch { .. } => "fetch",
         Request::Policy { .. } => "policy",
@@ -915,7 +884,6 @@ fn handle_request(shared: &Shared, client: &str, request: Request) -> Response {
             Some(JobState::Done(v)) => verdict_response_for_job(shared, job, &v),
             Some(JobState::Failed(e)) => error_response(error_code::INTERNAL, e),
         },
-        Request::Stats => Response::Stats(shared.stats_reply()),
         // The drain itself starts in `serve_connection` after the reply
         // is written out.
         Request::Shutdown => Response::ShuttingDown,

@@ -5,6 +5,7 @@
 
 use clean_baselines::{FoundRace, FullRaceKind};
 use clean_core::{ThreadId, TraceEvent};
+use clean_obs::Snapshot;
 use clean_serve::cache::{Verdict, VerdictCache, VerdictKey};
 use clean_serve::client::Client;
 use clean_serve::protocol::Response;
@@ -132,6 +133,13 @@ fn analyze(client: &mut Client, digest: TraceDigest) -> (bool, usize) {
     }
 }
 
+/// The server's `cache_persist_hits` counter, read off METRICS.
+fn persist_hits(client: &mut Client) -> u64 {
+    Snapshot::parse(&client.metrics().unwrap())
+        .unwrap()
+        .counters["cache_persist_hits"]
+}
+
 #[test]
 fn server_warm_restart_replays_only_the_torn_verdict() {
     let dir = scratch("server");
@@ -171,8 +179,7 @@ fn server_warm_restart_replays_only_the_torn_verdict() {
     let (cached, n) = analyze(&mut client, digests[1]);
     assert!(!cached, "torn log line must be dropped and replayed");
     assert_eq!(n, race_counts[1], "the replay must reproduce the verdict");
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_persist_hits, 1, "exactly one persisted hit");
+    assert_eq!(persist_hits(&mut client), 1, "exactly one persisted hit");
     warm.shutdown();
     warm.join();
 
@@ -184,7 +191,7 @@ fn server_warm_restart_replays_only_the_torn_verdict() {
         assert!(cached, "everything must be cached after the heal");
         assert_eq!(got, n);
     }
-    assert_eq!(client.stats().unwrap().cache_persist_hits, 2);
+    assert_eq!(persist_hits(&mut client), 2);
     third.shutdown();
     third.join();
     let _ = std::fs::remove_dir_all(&dir);

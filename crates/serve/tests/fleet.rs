@@ -4,7 +4,7 @@
 //! including after one backend is killed and its digests come back via
 //! peer FETCH from the surviving replica.
 
-use clean_obs::Snapshot;
+use clean_obs::{family_total, Snapshot};
 use clean_serve::client::Client;
 use clean_serve::protocol::{error_code, Response};
 use clean_serve::router::{primary_backend, Router, RouterConfig};
@@ -74,6 +74,11 @@ fn start_fleet(dir: &Path, addrs: &[String]) -> Vec<ServerHandle> {
             .unwrap()
         })
         .collect()
+}
+
+/// Fetches and parses a METRICS exposition (fleet-merged via a router).
+fn metrics(client: &mut Client) -> Snapshot {
+    Snapshot::parse(&client.metrics().unwrap()).unwrap()
 }
 
 fn submit(client: &mut Client, trace: &[u8]) -> (TraceDigest, bool) {
@@ -202,12 +207,29 @@ fn fleet_matches_single_node_and_direct_replay_with_kill() {
     // Dedup across nodes: every submit was forwarded to primary +
     // replica, and each (digest, node) pair stored exactly once.
     let mut client = Client::connect(router_addr).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.submits, 32, "16 submits x replication 2");
-    assert_eq!(stats.submit_dedup_hits, 24, "8 unique (digest, node) pairs");
-    assert_eq!(stats.store_traces, 8, "4 digests x 2 copies");
-    assert!(stats.forwards >= 32, "forwards: {}", stats.forwards);
-    assert_eq!(stats.fetches, 0, "healthy fleet never peer-fetches");
+    let m = metrics(&mut client);
+    assert_eq!(
+        m.counter_family_total("submits"),
+        32,
+        "16 submits x replication 2"
+    );
+    assert_eq!(
+        m.counter_family_total("submit_dedup_hits"),
+        24,
+        "8 unique (digest, node) pairs"
+    );
+    assert_eq!(
+        family_total(&m.gauges, "store_traces"),
+        8,
+        "4 digests x 2 copies"
+    );
+    let forwards = m.counter("forwards", &[("node", "router")]).unwrap();
+    assert!(forwards >= 32, "forwards: {forwards}");
+    assert_eq!(
+        m.counter_family_total("fetches"),
+        0,
+        "healthy fleet never peer-fetches"
+    );
 
     // Kill the primary of digest 0. The read failover lands on a node
     // that does NOT hold the replica (it sits at the ring predecessor),
@@ -221,11 +243,10 @@ fn fleet_matches_single_node_and_direct_replay_with_kill() {
     for (engine, expect) in EngineKind::ALL.iter().zip(per_engine0) {
         assert_verdict_matches(&mut client, *digest0, *engine, expect, "post-kill");
     }
-    let stats = client.stats().unwrap();
+    let fetches = metrics(&mut client).counter_family_total("fetches");
     assert!(
-        stats.fetches >= 1,
-        "killed primary must force a peer fetch, got {}",
-        stats.fetches
+        fetches >= 1,
+        "killed primary must force a peer fetch, got {fetches}"
     );
 
     router.join();
@@ -345,11 +366,10 @@ fn failover_under_load_keeps_serving_direct_replay_verdicts() {
     // The failover read landed on a node without the trace at least
     // once, so the peer-FETCH path must have fired.
     let mut client = Client::connect(router_addr).unwrap();
-    let stats = client.stats().unwrap();
+    let fetches = metrics(&mut client).counter_family_total("fetches");
     assert!(
-        stats.fetches >= 1,
-        "killing the primary must force a peer fetch, got {}",
-        stats.fetches
+        fetches >= 1,
+        "killing the primary must force a peer fetch, got {fetches}"
     );
 
     router.join();
@@ -397,12 +417,9 @@ fn router_metrics_merge_equals_per_backend_snapshots() {
     // traffic cannot move.
     let backends: Vec<Snapshot> = addrs
         .iter()
-        .map(|addr| {
-            let mut direct = Client::connect(addr.as_str()).unwrap();
-            Snapshot::parse(&direct.metrics().unwrap()).unwrap()
-        })
+        .map(|addr| metrics(&mut Client::connect(addr.as_str()).unwrap()))
         .collect();
-    let merged = Snapshot::parse(&client.metrics().unwrap()).unwrap();
+    let merged = metrics(&mut client);
 
     for name in ["submits", "analyzes", "cache_hits", "cache_misses"] {
         let mut sum = 0;

@@ -6,6 +6,7 @@
 //! on every backend or fail loudly.
 
 use clean_core::{ThreadId, TraceEvent};
+use clean_obs::Snapshot;
 use clean_serve::client::Client;
 use clean_serve::protocol::{error_code, Response};
 use clean_serve::router::{Router, RouterConfig};
@@ -52,6 +53,13 @@ fn verdict_flags(client: &mut Client, digest: TraceDigest) -> (bool, Vec<bool>) 
     }
 }
 
+/// The server's `suppressed_hits` counter, read off METRICS.
+fn suppressed_hits(client: &mut Client) -> u64 {
+    Snapshot::parse(&client.metrics().unwrap())
+        .unwrap()
+        .counters["suppressed_hits"]
+}
+
 #[test]
 fn suppression_demotes_matched_races_live_and_after_warm_restart() {
     let dir = scratch("restart");
@@ -66,7 +74,7 @@ fn suppression_demotes_matched_races_live_and_after_warm_restart() {
         flags.iter().all(|&s| !s),
         "no rule loaded, nothing may be suppressed"
     );
-    assert_eq!(client.stats().unwrap().suppressed_hits, 0);
+    assert_eq!(suppressed_hits(&mut client), 0);
 
     // Phase 2: push a rule covering the racy address. The verdict is
     // already cached — suppression must reclassify it at serve time.
@@ -80,7 +88,7 @@ fn suppression_demotes_matched_races_live_and_after_warm_restart() {
         flags.iter().all(|&s| s),
         "every WAW at 0x40 must be demoted to a warning"
     );
-    let hits = client.stats().unwrap().suppressed_hits;
+    let hits = suppressed_hits(&mut client);
     assert!(hits >= 1, "suppressed_hits must advance, got {hits}");
 
     // The set must have persisted beside the store.
@@ -100,7 +108,7 @@ fn suppression_demotes_matched_races_live_and_after_warm_restart() {
         flags.iter().all(|&s| s),
         "suppression must survive the restart"
     );
-    assert!(client.stats().unwrap().suppressed_hits >= 1);
+    assert!(suppressed_hits(&mut client) >= 1);
     match client.policy().unwrap() {
         Response::Policy { rules, text, .. } => {
             assert_eq!(rules, 1);

@@ -21,26 +21,6 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn stats_over_raw_socket() {
-    let dir = scratch("stats");
-    let server = Server::start(ServerConfig::new(&dir)).unwrap();
-    let mut sock = TcpStream::connect(server.addr()).unwrap();
-
-    // Hand-rolled STATS frame: magic, version, opcode 0x04, empty body.
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(0x04);
-    frame.extend_from_slice(&0u32.to_le_bytes());
-    sock.write_all(&frame).unwrap();
-
-    let reply = Response::read(&mut sock).unwrap().unwrap();
-    assert!(matches!(reply, Response::Stats(_)), "got {reply:?}");
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn bad_magic_gets_error_then_disconnect() {
     let dir = scratch("magic");
     let server = Server::start(ServerConfig::new(&dir)).unwrap();
@@ -67,7 +47,9 @@ fn wrong_version_and_unknown_opcode_are_rejected() {
     let dir = scratch("version");
     let server = Server::start(ServerConfig::new(&dir)).unwrap();
 
-    for (version, opcode) in [(VERSION + 1, 0x04u8), (VERSION, 0x6fu8)] {
+    // A live opcode (0x08 METRICS) under a wrong version, an opcode that
+    // was never assigned, and the retired STATS opcode.
+    for (version, opcode) in [(VERSION + 1, 0x08u8), (VERSION, 0x6f), (VERSION, 0x04)] {
         let mut sock = TcpStream::connect(server.addr()).unwrap();
         let mut frame = Vec::new();
         frame.extend_from_slice(&MAGIC);
@@ -78,6 +60,14 @@ fn wrong_version_and_unknown_opcode_are_rejected() {
         match Response::read(&mut sock).unwrap().unwrap() {
             Response::Error { code, .. } => assert_eq!(code, error_code::BAD_FRAME),
             other => panic!("expected BAD_FRAME error, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        match sock.read_to_end(&mut rest) {
+            Ok(_) => assert!(
+                rest.is_empty(),
+                "opcode {opcode:#04x}: server must disconnect"
+            ),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
         }
     }
     server.join();
@@ -115,10 +105,10 @@ fn half_frame_then_disconnect_is_tolerated() {
     }
     // The server is still healthy afterwards.
     let mut sock = TcpStream::connect(server.addr()).unwrap();
-    Request::Stats.write(&mut sock).unwrap();
+    Request::Metrics.write(&mut sock).unwrap();
     assert!(matches!(
         Response::read(&mut sock).unwrap().unwrap(),
-        Response::Stats(_)
+        Response::Metrics { .. }
     ));
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -225,10 +215,10 @@ fn idle_connection_outlives_the_io_timeout() {
     // Idle at a frame boundary for several timeout periods: the server
     // must keep the connection, only mid-frame stalls are evicted.
     std::thread::sleep(Duration::from_millis(350));
-    Request::Stats.write(&mut sock).unwrap();
+    Request::Metrics.write(&mut sock).unwrap();
     assert!(matches!(
         Response::read(&mut sock).unwrap().unwrap(),
-        Response::Stats(_)
+        Response::Metrics { .. }
     ));
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

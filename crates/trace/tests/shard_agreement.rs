@@ -16,6 +16,7 @@ use clean_trace::{
 };
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Racy profiles exercised by the agreement matrix. Spans all five
 /// kernel families that have racy variants (pipeline, n-body, k-means,
@@ -30,9 +31,13 @@ const PROFILES: &[&str] = &[
 ];
 
 fn record(name: &str, threads: usize) -> Vec<TraceEvent> {
+    // Tests run in parallel and may record the same (name, threads)
+    // pair, so every call gets its own file.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("clean-trace-agree-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path: PathBuf = dir.join(format!("{name}-{threads}.cltr"));
+    let path: PathBuf = dir.join(format!("{name}-{threads}-{call}.cltr"));
     let summary = record_kernel_trace(
         name,
         &path,
