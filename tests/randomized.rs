@@ -17,6 +17,8 @@ use clean::runtime::{CleanError, CleanRuntime, RaceReport, RuntimeConfig, Shared
 use clean::workloads::plan_from_trace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 const CELLS_PER_THREAD: usize = 16;
 
@@ -113,6 +115,51 @@ fn generate(seed: u64, phases: usize, ops_per_phase: usize) -> Program {
     }
 }
 
+/// Physical order of the injected collision: program thread 1 writes the
+/// victim cell only after thread 0's write has completed.
+///
+/// CLEAN promises determinism for exception-free executions only; which
+/// of two unordered writers trips the race, and whether a half-published
+/// epoch range makes it a one-byte report, is up to the OS schedule. The
+/// hand-off runs on a std mutex the detector never sees, so it adds no
+/// happens-before edge: the collision is still an unordered WAW, but
+/// every run of a program reports it as (T2 after T1) on the whole cell.
+#[derive(Default)]
+struct Handoff {
+    done: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Handoff {
+    fn release(&self) {
+        *self.done.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+
+    fn wait(&self) {
+        let (done, _) = self
+            .cv
+            .wait_timeout_while(self.done.lock().unwrap(), Duration::from_secs(60), |d| !*d)
+            .unwrap();
+        assert!(*done, "first colliding write never happened");
+    }
+}
+
+/// Releases the hand-off when dropped, so the second writer is never left
+/// waiting if the first writer's thread exits early.
+struct ReleaseOnDrop(Arc<Handoff>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// Kendo ticks the second colliding writer takes before it waits: its
+/// published counter then never holds back another thread's turn (thread 0
+/// may still need a lock turn before its own colliding write).
+const HANDOFF_TICKS: u64 = 1 << 40;
+
 /// The outcome of one monitored run, with everything the assertions need
 /// to pin the race to its injected location.
 struct RunOutcome {
@@ -149,13 +196,16 @@ fn run_with(program: &Program, cfg: RuntimeConfig) -> RunOutcome {
     let victim_addr = victim.base_addr();
     let lock = rt.create_mutex();
     let barrier = rt.create_barrier(threads);
+    let handoff = Arc::new(Handoff::default());
     let program = program.clone();
     let result = rt.run(|ctx| {
         let mut kids = Vec::new();
         for t in 0..threads {
             let (lock, barrier) = (lock.clone(), barrier.clone());
             let program = program.clone();
+            let handoff = Arc::clone(&handoff);
             kids.push(ctx.spawn(move |c| {
+                let mut release = (t == 0).then(|| ReleaseOnDrop(Arc::clone(&handoff)));
                 let mut h = 0u64;
                 for (phase, per_thread) in program.ops.iter().enumerate() {
                     for op in &per_thread[t] {
@@ -179,8 +229,15 @@ fn run_with(program: &Program, cfg: RuntimeConfig) -> RunOutcome {
                     }
                     if program.collision == Some(phase) && t < 2 {
                         // The injected bug: threads 0 and 1 write the same
-                        // cell in the same phase, unordered.
-                        c.write(&victim, 0, t as u64)?;
+                        // cell in the same phase, unordered (the hand-off
+                        // fixes only their physical order).
+                        if t == 1 {
+                            c.tick(HANDOFF_TICKS);
+                            handoff.wait();
+                        }
+                        let written = c.write(&victim, 0, t as u64);
+                        release.take();
+                        written?;
                     }
                     c.barrier_wait(&barrier)?;
                 }
@@ -235,7 +292,8 @@ fn fast_path_is_verdict_neutral_across_200_random_seeds() {
     // the fast-path and slow-path runtimes must agree on the verdict,
     // and on the exact first race (kind, address, size, thread pair)
     // when there is one. Deterministic execution makes the two runs
-    // directly comparable: same program, same schedule, knobs aside.
+    // directly comparable: same program, same schedule, knobs aside —
+    // and for the racy half, the hand-off fixes which writer goes second.
     let base = base_seed();
     for i in 0..200u64 {
         let seed = base.wrapping_add(i);
